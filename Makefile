@@ -57,16 +57,23 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The headline correctness properties under the race detector: identical
-# ranked answers at every parallelism level, the engine-level concurrent
+# The headline correctness properties under the race detector, each at
+# GOMAXPROCS 1, 2 and 4 so interleavings one core serializes still get
+# exercised: identical ranked answers at every parallelism level and
+# budget, sharded vs unsharded fan-out byte-identity, helper-goroutine
+# budget and panic forwarding (sched.Drain), the engine-level concurrent
 # stress run, and the serving layer's mixed-traffic stress (shared
-# cache, mid-flight deadline expiry, goroutine-leak check) plus the
-# live-corpus stress (concurrent searchers, mutators, /watch pollers —
-# every answer must match some reachable corpus state).
+# cache, panicking fills, mid-flight deadline expiry, goroutine-leak
+# check, /metrics scraped under load) plus the live-corpus stress
+# (concurrent searchers, mutators, /watch pollers — every answer must
+# match some reachable corpus state).
+SMOKE_CPU := 1,2,4
 smoke:
-	$(GO) test -race -run 'TestParallelMatchesSequential|TestConcurrentSearches|TestAnalysisCacheStress' \
+	$(GO) test -race -cpu $(SMOKE_CPU) -run 'TestParallelMatchesSequential|TestParallelBudget|TestConcurrentSearches|TestAnalysisCacheStress' \
 		./internal/plan/ ./internal/engine/ -count=1
-	$(GO) test -race -run 'TestServerStress|TestCacheEquivalenceProperty|TestCacheSingleFlight|TestMutationStress' \
+	$(GO) test -race -cpu $(SMOKE_CPU) -run 'TestSearchShardedMatchesUnsharded|TestSetBudgetGatesFanOutHelpers|TestMixedFanoutParallelBudget|TestDrainForwardsHelperPanic' \
+		./internal/corpus/ ./internal/sched/ -count=1
+	$(GO) test -race -cpu $(SMOKE_CPU) -run 'TestServerStress|TestCacheEquivalenceProperty|TestCacheSingleFlight|TestCachePanickingFillDoesNotPoisonKey|TestMutationStress|TestMetricsScrapeStress|TestFanoutShardedDifferential' \
 		./internal/server/ -count=2
 
 # Coverage floors on the layers the serving path leans on. The floor is

@@ -29,7 +29,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -41,6 +40,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/plan"
 	"repro/internal/profile"
+	"repro/internal/sched"
 	"repro/internal/text"
 	"repro/internal/tpq"
 	"repro/internal/xmldoc"
@@ -148,9 +148,9 @@ type Corpus struct {
 	pipe text.Pipeline
 
 	// budget, when set via SetBudget, gates the fan-out's helper
-	// goroutines. Nil falls back to a private per-call allowance of
-	// GOMAXPROCS-1 helpers (the library default).
-	budget plan.WorkerBudget
+	// goroutines. Nil is sched.Drain's library default: up to
+	// GOMAXPROCS-1 helpers per call.
+	budget sched.Allowance
 
 	// wmu serializes writers; readers never take it. The snapshot
 	// pointer is the only shared mutable state.
@@ -165,7 +165,7 @@ type Corpus struct {
 // can never multiply into GOMAXPROCS² goroutines (the old private
 // semaphore allowed exactly that). Call before serving traffic; the
 // budget is read without synchronization.
-func (c *Corpus) SetBudget(b plan.WorkerBudget) { c.budget = b }
+func (c *Corpus) SetBudget(b sched.Allowance) { c.budget = b }
 
 // New creates an empty corpus with the given text pipeline.
 func New(pipe text.Pipeline) *Corpus {
@@ -354,104 +354,15 @@ func (c *Corpus) SearchContext(ctx context.Context, q *tpq.Query, prof *profile.
 // SearchContext evaluates the query against exactly this snapshot's
 // documents — mutations committed after the snapshot was taken are
 // invisible, so a search admitted before a swap completes against the
-// old, internally consistent view (no torn reads).
+// old, internally consistent view (no torn reads). It is the unsharded
+// scatter: one partition per document, no deadline carve, so the
+// answer is always complete or the context's error.
 func (s *Snapshot) SearchContext(ctx context.Context, q *tpq.Query, prof *profile.Profile, k int, strat plan.Strategy) (*Response, error) {
-	if q == nil {
-		return nil, fmt.Errorf("corpus: nil query")
-	}
-	if k < 0 {
-		return nil, fmt.Errorf("corpus: negative k %d (use 0 for the default of 10)", k)
-	}
-	if k == 0 {
-		k = 10
-	}
-	start := time.Now()
-
-	encoded, applied, err := s.encodeForSearch(q, prof)
+	resp, err := s.SearchSharded(ctx, q, prof, k, strat, ShardOptions{})
 	if err != nil {
 		return nil, err
 	}
-
-	names := s.names
-
-	var (
-		hitMu  sync.Mutex
-		hits   []docHit
-		errMu  sync.Mutex
-		runErr error
-		next   atomic.Int64
-	)
-	// searchDoc evaluates one document. Per-document plans run strictly
-	// sequentially (Parallelism 1): the fan-out itself is the
-	// parallelism, and letting each per-doc plan auto-resolve to
-	// GOMAXPROCS workers used to multiply into GOMAXPROCS² goroutines.
-	searchDoc := func(name string) {
-		p, err := plan.BuildWith(s.entries[name].idx, encoded, prof, k,
-			plan.Options{Strategy: strat, Parallelism: 1})
-		if err != nil {
-			errMu.Lock()
-			if runErr == nil {
-				runErr = fmt.Errorf("corpus: %s: %w", name, err)
-			}
-			errMu.Unlock()
-			return
-		}
-		defer p.Release()
-		answers, err := p.ExecuteContext(ctx)
-		if err != nil {
-			return // ctx.Err() is reported once below, not per document
-		}
-		hitMu.Lock()
-		for _, a := range answers {
-			hits = append(hits, docHit{doc: name, a: a})
-		}
-		hitMu.Unlock()
-	}
-	drain := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(names) {
-				return
-			}
-			if algebra.ContextErr(ctx) != nil {
-				return // fan-out aborted before this document's turn
-			}
-			searchDoc(names[i])
-		}
-	}
-	// The caller's goroutine always works; helpers join only while the
-	// budget grants tokens. With no shared budget (library use), allow a
-	// private machine's worth per call — the legacy concurrency, minus
-	// the goroutine-per-document spawn.
-	budget := s.c.budget
-	maxHelpers := len(names) - 1
-	if budget == nil && maxHelpers > runtime.GOMAXPROCS(0)-1 {
-		maxHelpers = runtime.GOMAXPROCS(0) - 1
-	}
-	var wg sync.WaitGroup
-	for h := 0; h < maxHelpers; h++ {
-		if budget != nil && !budget.TryAcquire() {
-			break
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if budget != nil {
-				defer budget.Release()
-			}
-			drain()
-		}()
-	}
-	drain()
-	wg.Wait()
-	if err := algebra.ContextErr(ctx); err != nil {
-		return nil, err
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-
-	return s.materialize(rankHits(hits, prof, k), applied, len(names), time.Since(start)), nil
+	return &resp.Response, nil
 }
 
 // docHit is one pre-merge answer: an algebra answer tagged with the
@@ -476,8 +387,8 @@ func (s *Snapshot) encodeForSearch(q *tpq.Query, prof *profile.Profile) (*tpq.Qu
 
 // rankHits sorts hits under the profile's total rank order — rank,
 // then document name, then node, so the order is deterministic — and
-// truncates to the top k. Both the unsharded merge and every per-shard
-// local top k go through this one comparator; the sharded/unsharded
+// truncates to the top k. The final merge and every partition's local
+// top k go through this one comparator; the sharded/unsharded
 // byte-equivalence depends on them agreeing.
 func rankHits(hits []docHit, prof *profile.Profile, k int) []docHit {
 	ranker := algebra.NewRanker(prof)

@@ -21,15 +21,13 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/plan"
 	"repro/internal/profile"
+	"repro/internal/sched"
 	"repro/internal/tpq"
 )
 
@@ -96,8 +94,10 @@ func ShardNames(names []string, n int) [][]string {
 
 // ShardOptions tunes SearchSharded.
 type ShardOptions struct {
-	// Shards is the number of consistent-hash partitions; values below 2
-	// fall back to a single shard (equivalent to SearchContext).
+	// Shards is the number of consistent-hash partitions. Values below 2
+	// are the unsharded fan-out, exactly SearchContext: every document
+	// is its own partition, DeadlineFrac is ignored and the response
+	// never degrades.
 	Shards int
 	// DeadlineFrac is the fraction of the request's *remaining* deadline
 	// granted to each shard (0 means DefaultShardDeadlineFrac). With no
@@ -122,64 +122,58 @@ type ShardedResponse struct {
 	// order.
 	TimedOutShards []int
 	// ShardsRun is the number of shards that held at least one document
-	// (empty shards are skipped, not scattered).
+	// (empty shards are skipped, not scattered). Unsharded, every
+	// document is its own partition, so it counts documents.
 	ShardsRun int
 }
 
 // shardContext carves one shard's deadline budget out of the parent's
-// remaining time: frac of what is left at carve time. With no parent
-// deadline the shard inherits plain cancellation.
+// remaining time: frac of what is left at carve time. With no carve
+// (frac 0), no parent deadline, or an already expired one, the shard
+// runs under the parent context itself.
 func shardContext(ctx context.Context, frac float64) (context.Context, context.CancelFunc) {
 	dl, ok := ctx.Deadline()
-	if !ok {
-		return context.WithCancel(ctx)
-	}
 	remaining := time.Until(dl)
-	if remaining <= 0 {
-		return context.WithCancel(ctx) // already expired; the shard will observe it
+	if frac <= 0 || !ok || remaining <= 0 {
+		return ctx, func() {}
 	}
-	budget := time.Duration(frac * float64(remaining))
-	return context.WithDeadline(ctx, time.Now().Add(budget))
-}
-
-// searchNamesSequential evaluates the encoded query against names in
-// order, one plan at a time (the scatter supplies the parallelism).
-// A context expiry mid-loop returns the hits gathered so far — the
-// caller inspects ctx to tell a completed shard from a truncated one.
-// A plan build error fails the shard (and the whole fan-out).
-func (s *Snapshot) searchNamesSequential(ctx context.Context, names []string, encoded *tpq.Query, prof *profile.Profile, k int, strat plan.Strategy) ([]docHit, error) {
-	var hits []docHit
-	for _, name := range names {
-		if algebra.ContextErr(ctx) != nil {
-			return hits, nil
-		}
-		p, err := plan.BuildWith(s.entries[name].idx, encoded, prof, k,
-			plan.Options{Strategy: strat, Parallelism: 1})
-		if err != nil {
-			return nil, fmt.Errorf("corpus: %s: %w", name, err)
-		}
-		answers, err := p.ExecuteContext(ctx)
-		p.Release()
-		if err != nil {
-			return hits, nil // ctx expiry; caller classifies it
-		}
-		for _, a := range answers {
-			hits = append(hits, docHit{doc: name, a: a})
-		}
-	}
-	return hits, nil
+	return context.WithDeadline(ctx, time.Now().Add(time.Duration(frac*float64(remaining))))
 }
 
 // SearchSharded evaluates the query against this snapshot as a
-// scatter-gather over consistent-hash shards. Shard workers draw from
-// the corpus's shared budget (SetBudget) exactly like the unsharded
-// fan-out's helpers, so shards × per-plan workers can never
-// oversubscribe the machine. With no request deadline the result is
-// always complete; with one, shards that exhaust their carved budget
-// are dropped and reported (Degraded/TimedOutShards) as long as the
-// request itself is still alive — a dead request returns its error,
-// never a partial merge.
+// scatter-gather over consistent-hash shards, each searched
+// sequentially under a deadline carved from the request's. Shards < 2
+// is the unsharded fan-out (SearchContext): one partition per document
+// and no carve, so it never degrades. Either way the partitions are
+// drained by sched.Drain under the corpus's shared budget (SetBudget),
+// so partitions × per-plan workers can never oversubscribe the machine.
+// With no request deadline the result is always complete; with one,
+// shards that exhaust their carved budget are dropped and reported
+// (Degraded/TimedOutShards) as long as the request itself is still
+// alive — a dead request returns its error, never a partial merge.
 func (s *Snapshot) SearchSharded(ctx context.Context, q *tpq.Query, prof *profile.Profile, k int, strat plan.Strategy, opts ShardOptions) (*ShardedResponse, error) {
+	if opts.Shards < 2 {
+		parts := make([][]string, len(s.names))
+		for i := range s.names {
+			parts[i] = s.names[i : i+1 : i+1]
+		}
+		return s.scatter(ctx, q, prof, k, strat, parts, 0, opts.ShardStart)
+	}
+	frac := opts.DeadlineFrac
+	if frac <= 0 || frac > 1 {
+		frac = DefaultShardDeadlineFrac
+	}
+	return s.scatter(ctx, q, prof, k, strat, ShardNames(s.names, opts.Shards), frac, opts.ShardStart)
+}
+
+// scatter is the one corpus fan-out. It encodes the query once, runs
+// every non-empty partition of document names (sequentially within a
+// partition) on sched.Drain, keeps each partition's local top k, and
+// merges them under the global comparator. frac > 0 carves each
+// partition's deadline from the request's remaining time and drops
+// partitions that blow it; frac == 0 runs every partition under ctx
+// itself. start, when non-nil, runs as each partition begins.
+func (s *Snapshot) scatter(ctx context.Context, q *tpq.Query, prof *profile.Profile, k int, strat plan.Strategy, parts [][]string, frac float64, start func(int)) (*ShardedResponse, error) {
 	if q == nil {
 		return nil, fmt.Errorf("corpus: nil query")
 	}
@@ -189,92 +183,76 @@ func (s *Snapshot) SearchSharded(ctx context.Context, q *tpq.Query, prof *profil
 	if k == 0 {
 		k = 10
 	}
-	frac := opts.DeadlineFrac
-	if frac <= 0 || frac > 1 {
-		frac = DefaultShardDeadlineFrac
-	}
-	start := time.Now()
+	began := time.Now()
 
 	encoded, applied, err := s.encodeForSearch(q, prof)
 	if err != nil {
 		return nil, err
 	}
 
-	shards := ShardNames(s.names, opts.Shards)
-	work := make([]int, 0, len(shards))
-	for i, sh := range shards {
-		if len(sh) > 0 {
+	work := make([]int, 0, len(parts))
+	for i, part := range parts {
+		if len(part) > 0 {
 			work = append(work, i)
 		}
 	}
 
-	type shardResult struct {
+	type partResult struct {
 		hits     []docHit
 		timedOut bool
 		err      error
 	}
-	results := make([]shardResult, len(shards))
-	var next atomic.Int64
-	runShard := func(i int) {
-		sctx, cancel := shardContext(ctx, frac)
+	results := make([]partResult, len(parts))
+	sched.Drain(s.c.budget, len(work), func(j int) {
+		if algebra.ContextErr(ctx) != nil {
+			return // fan-out aborted before this partition's turn
+		}
+		i := work[j]
+		pctx, cancel := shardContext(ctx, frac)
 		defer cancel()
-		if opts.ShardStart != nil {
-			opts.ShardStart(i)
+		if start != nil {
+			start(i)
 		}
-		hits, err := s.searchNamesSequential(sctx, shards[i], encoded, prof, k, strat)
-		if err != nil {
-			results[i].err = err
-			return
+		// Documents run one plan at a time: the scatter is the
+		// parallelism. An expiry mid-partition keeps the hits so far;
+		// pctx below tells a completed partition from a truncated one.
+		var hits []docHit
+		for _, name := range parts[i] {
+			if algebra.ContextErr(pctx) != nil {
+				break
+			}
+			p, err := plan.BuildWith(s.entries[name].idx, encoded, prof, k,
+				plan.Options{Strategy: strat, Parallelism: 1})
+			if err != nil {
+				results[i].err = fmt.Errorf("corpus: %s: %w", name, err)
+				return
+			}
+			answers, err := p.ExecuteContext(pctx)
+			p.Release()
+			if err != nil {
+				break
+			}
+			for _, a := range answers {
+				hits = append(hits, docHit{doc: name, a: a})
+			}
 		}
-		if algebra.ContextErr(sctx) != nil {
+		if algebra.ContextErr(pctx) != nil {
 			if perr := algebra.ContextErr(ctx); perr != nil {
-				results[i].err = perr // the request itself died, not just this shard
+				results[i].err = perr // the request itself died, not just this partition
 				return
 			}
 			results[i].timedOut = true
 			return
 		}
 		// Local top k under the global comparator: anything ranked below
-		// a shard's own kth answer cannot appear in the merged top k.
-		results[i].hits = rankHits(hits, prof, k)
-	}
-	drain := func() {
-		for {
-			j := int(next.Add(1)) - 1
-			if j >= len(work) {
-				return
-			}
-			if algebra.ContextErr(ctx) != nil {
-				return
-			}
-			runShard(work[j])
+		// a partition's own kth answer cannot appear in the merged top k.
+		// At most k hits (every one-document partition) need no
+		// pre-sort; the merge orders them.
+		if len(hits) > k {
+			hits = rankHits(hits, prof, k)
 		}
-	}
-	// Caller + budget-granted helpers, exactly like the unsharded
-	// fan-out: the caller always drains; helpers join only while the
-	// shared budget grants tokens (or up to a private machine's worth in
-	// library use).
-	budget := s.c.budget
-	maxHelpers := len(work) - 1
-	if budget == nil && maxHelpers > runtime.GOMAXPROCS(0)-1 {
-		maxHelpers = runtime.GOMAXPROCS(0) - 1
-	}
-	var wg sync.WaitGroup
-	for h := 0; h < maxHelpers; h++ {
-		if budget != nil && !budget.TryAcquire() {
-			break
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if budget != nil {
-				defer budget.Release()
-			}
-			drain()
-		}()
-	}
-	drain()
-	wg.Wait()
+		results[i].hits = hits
+	})
 
 	if err := algebra.ContextErr(ctx); err != nil {
 		return nil, err
@@ -296,9 +274,9 @@ func (s *Snapshot) SearchSharded(ctx context.Context, q *tpq.Query, prof *profil
 			continue
 		}
 		all = append(all, r.hits...)
-		docs += len(shards[i])
+		docs += len(parts[i])
 	}
-	resp := s.materialize(rankHits(all, prof, k), applied, docs, time.Since(start))
+	resp := s.materialize(rankHits(all, prof, k), applied, docs, time.Since(began))
 	return &ShardedResponse{
 		Response:       *resp,
 		Degraded:       len(timedOut) > 0,

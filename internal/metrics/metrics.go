@@ -324,8 +324,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 					renderLabels(s.labels, "le", "+Inf"), cum)
 				fmt.Fprintf(&sb, "%s_sum%s %s\n", f.name,
 					renderLabels(s.labels, "", ""), formatFloat(h.Sum()))
+				// _count is the +Inf total from this same pass, not a
+				// separate h.Count() read: a concurrent Observe lands
+				// between the two loads and tears _count from +Inf.
 				fmt.Fprintf(&sb, "%s_count%s %d\n", f.name,
-					renderLabels(s.labels, "", ""), h.Count())
+					renderLabels(s.labels, "", ""), cum)
 			}
 		}
 	}

@@ -22,10 +22,9 @@ import (
 	"context"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/algebra"
+	"repro/internal/sched"
 )
 
 // minPartition is the smallest candidate partition worth a dedicated
@@ -49,16 +48,13 @@ const MaxParallelism = 64
 // smallest winning one.
 const DefaultParallelMinNodes = 150_000
 
-// WorkerBudget is a non-blocking allowance for *extra* goroutines
-// beyond the one the caller already owns (implemented by sched.Budget).
-// A nil budget means "unbudgeted": spawn freely, the pre-scheduler
-// library behavior. Execution never blocks on the budget and results
-// are identical whether a token is granted or not — a denied token just
-// runs that partition in the caller's goroutine.
-type WorkerBudget interface {
-	TryAcquire() bool
-	Release()
-}
+// WorkerBudget is the allowance parallel Execute draws helper
+// goroutines from (sched.Allowance; implemented by sched.Budget). A nil
+// budget means "unbudgeted": up to GOMAXPROCS-1 helpers, the rule
+// sched.Drain applies to every caller. Execution never blocks on the
+// budget and results are identical whether a token is granted or not —
+// a denied token just runs that partition in the caller's goroutine.
+type WorkerBudget = sched.Allowance
 
 // ResolveParallelism is the cost model behind the Parallelism knob,
 // mirroring resolveAccess: it maps the requested setting and the
@@ -129,14 +125,12 @@ func (p *Plan) effectiveWorkers() int {
 // executeParallel runs the plan as w scan-partitioned partitions and
 // k-merges their results deterministically. The partition *count* is
 // fixed at w — that is what makes the result and the reported Workers()
-// deterministic — but the *goroutine* count is not: the caller's
-// goroutine drains partitions off an atomic work queue, and up to w-1
-// helper goroutines join only while Options.Budget grants tokens. Under
-// a saturated scheduler the helpers simply don't materialize and the
-// caller runs every partition itself; with a nil budget (library use)
-// all w-1 helpers spawn, the original behavior. Each partition chain
-// carries its own cancellation probe bound to ctx, so a deadline or
-// client disconnect aborts every partition cooperatively.
+// deterministic — but the *goroutine* count is not: sched.Drain runs
+// the partitions on the caller's goroutine plus however many helpers
+// Options.Budget grants. Under a saturated scheduler the helpers simply
+// don't materialize and the caller runs every partition itself. Each
+// partition chain carries its own cancellation probe bound to ctx, so a
+// deadline or client disconnect aborts every partition cooperatively.
 func (p *Plan) executeParallel(ctx context.Context, w int) ([]algebra.Answer, error) {
 	ids := p.sourceIDs
 	shared := algebra.NewSharedBound()
@@ -145,8 +139,7 @@ func (p *Plan) executeParallel(ctx context.Context, w int) ([]algebra.Answer, er
 		stats []algebra.OpStats
 	}
 	outs := make([]workerOut, w)
-	var next atomic.Int64
-	runPartition := func(i int) {
+	sched.Drain(p.opts.Budget, w, func(i int) {
 		lo, hi := i*len(ids)/w, (i+1)*len(ids)/w
 		src := &algebra.ListScanOp{Name: p.sourceName, IDs: ids[lo:hi]}
 		ops, final, m := p.buildChain(src, shared, algebra.NewCancelCheck(ctx))
@@ -166,32 +159,7 @@ func (p *Plan) executeParallel(ctx context.Context, w int) ([]algebra.Answer, er
 		// the next partition (or the next request) skips the allocations.
 		algebra.ReleaseChainScratch(ops)
 		m.ReleaseScratch()
-	}
-	drain := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= w {
-				return
-			}
-			runPartition(i)
-		}
-	}
-	var wg sync.WaitGroup
-	for h := 0; h < w-1; h++ {
-		if p.opts.Budget != nil && !p.opts.Budget.TryAcquire() {
-			break
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if p.opts.Budget != nil {
-				defer p.opts.Budget.Release()
-			}
-			drain()
-		}()
-	}
-	drain()
-	wg.Wait()
+	})
 	p.lastWorkers = w
 	if err := algebra.ContextErr(ctx); err != nil {
 		// At least one worker may have stopped mid-partition; its top-k

@@ -12,9 +12,9 @@
 // (plan.ResolveParallelism) grants intra-query workers, and every
 // *extra* goroutine anyone wants — parallel plan partitions, registry
 // fan-out helpers — is drawn from one shared Budget instead of private
-// per-request semaphores. Total execution goroutines are therefore
-// bounded by Workers (admitted requests) + Workers (budget extras),
-// independent of offered load.
+// per-request semaphores, and spawned by one function, Drain. Total
+// execution goroutines are therefore bounded by Workers (admitted
+// requests) + Workers (budget extras), independent of offered load.
 //
 // Admission is FIFO-ish with two shedding modes:
 //
@@ -244,6 +244,63 @@ func (p *Pool) Stats() Stats {
 		ShedWait:       p.shedWait.Load(),
 		Abandoned:      p.abandoned.Load(),
 		BudgetInUse:    p.budget.InUse(),
+	}
+}
+
+// Allowance is a non-blocking grant of *extra* goroutines beyond the
+// one the caller already owns; *Budget implements it. A denied token is
+// never an error — the caller runs that work itself — so results never
+// depend on how many tokens are granted.
+type Allowance interface {
+	TryAcquire() bool
+	Release()
+}
+
+// Drain runs work(0..n-1), each index exactly once, and returns when
+// all have finished. The calling goroutine always drains; up to n-1
+// helpers join while b grants tokens, and a nil b allows up to
+// GOMAXPROCS-1 helpers (the library default, no shared accounting).
+//
+// As the single budgeted spawn site, Drain also contains helper panics:
+// a panicking helper is recovered and returns its token, the other
+// workers finish the queue, and the first helper panic is re-raised on
+// the caller's goroutine once every helper has exited.
+func Drain(b Allowance, n int, work func(i int)) {
+	var next atomic.Int64
+	drain := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			work(i)
+		}
+	}
+	helpers := n - 1
+	if b == nil {
+		helpers = min(helpers, runtime.GOMAXPROCS(0)-1)
+	}
+	var (
+		wg    sync.WaitGroup
+		fault atomic.Pointer[any]
+	)
+	for ; helpers > 0 && (b == nil || b.TryAcquire()); helpers-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if b != nil {
+					b.Release()
+				}
+				if r := recover(); r != nil {
+					fault.CompareAndSwap(nil, &r)
+				}
+			}()
+			drain()
+		}()
+	}
+	func() {
+		defer wg.Wait() // a panic on the caller still waits for the helpers
+		drain()
+	}()
+	if r := fault.Load(); r != nil {
+		panic(*r)
 	}
 }
 

@@ -20,6 +20,7 @@ package server
 import (
 	"container/list"
 	"context"
+	"errors"
 	"sync"
 )
 
@@ -158,18 +159,32 @@ func (c *ResultCache) DoTagged(ctx context.Context, key string, tags []string, f
 		c.misses++
 		c.mu.Unlock()
 
-		val, err := fill()
-
-		c.mu.Lock()
-		delete(c.flight, key)
-		if err == nil {
-			c.putLocked(key, val, tags)
-		}
-		c.mu.Unlock()
-		fl.val, fl.err = val, err
-		close(fl.done)
+		val, err := c.lead(key, tags, fl, fill)
 		return val, Miss, err
 	}
+}
+
+// errFillPanicked is the flight error followers see when the leader's
+// fill panicked; like any leader error it sends them back to retry.
+var errFillPanicked = errors.New("server: cache fill panicked")
+
+// lead runs fill as key's leader and completes the flight in a defer,
+// so a panicking fill still retires the flight (followers and later
+// callers retry as leaders instead of waiting forever on a dead key)
+// while the panic itself propagates to the leader's caller unchanged.
+func (c *ResultCache) lead(key string, tags []string, fl *flight, fill func() (any, error)) (any, error) {
+	fl.err = errFillPanicked // overwritten below unless fill panics
+	defer func() {
+		c.mu.Lock()
+		delete(c.flight, key)
+		if fl.err == nil {
+			c.putLocked(key, fl.val, tags)
+		}
+		c.mu.Unlock()
+		close(fl.done)
+	}()
+	fl.val, fl.err = fill()
+	return fl.val, fl.err
 }
 
 // Get returns the cached value for key without filling.

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 func fillConst(v any) func() (any, error) {
@@ -244,6 +246,76 @@ func TestCacheFollowerOutlivesFailedLeader(t *testing.T) {
 	}
 	close(gate2)
 	wg.Wait()
+}
+
+// TestCachePanickingFillDoesNotPoisonKey: a fill that panics must
+// still retire its flight. The panic reaches the leader's caller
+// unchanged, a follower already waiting retries as the next leader, and
+// a later caller fills the key afresh instead of waiting on a flight
+// that will never complete.
+func TestCachePanickingFillDoesNotPoisonKey(t *testing.T) {
+	c := NewResultCache(4)
+	gate := make(chan struct{})
+	leaderPanic := make(chan any, 1)
+	go func() {
+		defer func() { leaderPanic <- recover() }()
+		c.Do(context.Background(), "k", func() (any, error) {
+			<-gate
+			panic("fill blew up")
+		})
+	}()
+	for {
+		c.mu.Lock()
+		_, inFlight := c.flight["k"]
+		c.mu.Unlock()
+		if inFlight {
+			break
+		}
+	}
+
+	followerDone := make(chan struct{})
+	go func() {
+		defer close(followerDone)
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		v, out, err := c.Do(ctx, "k", fillConst("follower"))
+		if err != nil || v != "follower" || out != Miss {
+			t.Errorf("waiting follower = (%v, %v, %v), want (follower, miss, nil)", v, out, err)
+		}
+	}()
+	// Let the follower park on the flight before the leader panics.
+	for {
+		c.mu.Lock()
+		coalesced := c.coalesced
+		c.mu.Unlock()
+		if coalesced > 0 {
+			break
+		}
+		runtime.Gosched()
+	}
+	close(gate)
+	if r := <-leaderPanic; r != "fill blew up" {
+		t.Fatalf("leader recovered %v, want the fill's own panic value", r)
+	}
+	<-followerDone
+
+	c.mu.Lock()
+	_, stuck := c.flight["k"]
+	c.mu.Unlock()
+	if stuck {
+		t.Fatal("panicked flight still registered")
+	}
+
+	// A panic on a fresh key with no followers: the next caller leads.
+	func() {
+		defer func() { recover() }()
+		c.Do(context.Background(), "p", func() (any, error) { panic("again") })
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if v, out, err := c.Do(ctx, "p", fillConst("later")); err != nil || v != "later" || out != Miss {
+		t.Fatalf("later caller = (%v, %v, %v), want (later, miss, nil)", v, out, err)
+	}
 }
 
 func TestOutcomeString(t *testing.T) {

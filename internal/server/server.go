@@ -669,33 +669,25 @@ func (s *Server) execute(ctx context.Context, snap *corpus.Snapshot, sreq *Searc
 	var body SearchBody
 	if s.fanout(sreq) {
 		// buildEngineRequest already rejected the per-engine extras
-		// (twig/literal/access) before admission.
-		var resp *corpus.Response
-		if s.cfg.Shards > 1 {
-			sresp, serr := snap.SearchSharded(ctx, req.Query, req.Profile, req.K, req.Strategy,
-				corpus.ShardOptions{
-					Shards:       s.cfg.Shards,
-					DeadlineFrac: s.cfg.ShardDeadlineFrac,
-					ShardStart:   s.shardStart,
-				})
-			if serr != nil {
-				return nil, serr
-			}
-			s.recordFanout(sresp)
-			resp = &sresp.Response
-			body.Degraded = sresp.Degraded
-			body.TimedOutShards = sresp.TimedOutShards
-		} else {
-			var err error
-			resp, err = snap.SearchContext(ctx, req.Query, req.Profile, req.K, req.Strategy)
-			if err != nil {
-				return nil, err
-			}
+		// (twig/literal/access) before admission. Shards < 2 is the
+		// unsharded scatter (one partition per document, no carve); only
+		// a real sharded run feeds the fan-out shard counters.
+		sresp, err := snap.SearchSharded(ctx, req.Query, req.Profile, req.K, req.Strategy,
+			corpus.ShardOptions{
+				Shards:       s.cfg.Shards,
+				DeadlineFrac: s.cfg.ShardDeadlineFrac,
+				ShardStart:   s.shardStart,
+			})
+		if err != nil {
+			return nil, err
 		}
-		degraded, timedOut := body.Degraded, body.TimedOutShards
+		if s.cfg.Shards > 1 {
+			s.recordFanout(sresp)
+		}
+		resp := &sresp.Response
 		body = SearchBody{
-			Degraded:       degraded,
-			TimedOutShards: timedOut,
+			Degraded:       sresp.Degraded,
+			TimedOutShards: sresp.TimedOutShards,
 			Results:        make([]SearchResult, 0, len(resp.Results)),
 			K:              resolveK(req.K),
 			Strategy:       req.Strategy.String(),

@@ -7,11 +7,13 @@
 // `go func` on a request path reintroduces oversubscription that the
 // QPS harness then has to rediscover the hard way. A goroutine spawn
 // is compliant when the spawning function visibly draws from a budget
-// (a TryAcquire call in the same function — the repo idiom is
-// TryAcquire → go → Release). Long-lived singletons created at
-// construction time (cache fill loops, slowlog writers) are not
-// request-proportional and carry //pimento:allow budgetedgo with that
-// argument.
+// (a TryAcquire call in the same function — TryAcquire → go → Release).
+// In the repository that function is sched.Drain, the single budgeted
+// spawn site: plan partitions and the corpus scatter hand it their
+// work instead of spawning helpers themselves. Long-lived singletons
+// created at construction time (cache fill loops, slowlog writers) are
+// not request-proportional and carry //pimento:allow budgetedgo with
+// that argument.
 package budgetedgo
 
 import (
