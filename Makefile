@@ -54,33 +54,40 @@ build:
 test:
 	$(GO) test ./...
 
+# Every package under the race detector at GOMAXPROCS 1, 2 and 4 (about
+# three minutes on a 2-CPU host): interleavings one core serializes only
+# surface at higher CPU counts.
+SMOKE_CPU := 1,2,4
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -cpu $(SMOKE_CPU) ./...
 
 # The headline correctness properties under the race detector, each at
 # GOMAXPROCS 1, 2 and 4 so interleavings one core serializes still get
 # exercised: identical ranked answers at every parallelism level and
 # budget, sharded vs unsharded fan-out byte-identity, helper-goroutine
 # budget and panic forwarding (sched.Drain), the engine-level concurrent
-# stress run, and the serving layer's mixed-traffic stress (shared
-# cache, panicking fills, mid-flight deadline expiry, goroutine-leak
+# stress run, the single-flight cache's coalescing, follower-retry and
+# panic contracts in both fill modes (internal/lru), and the serving
+# layer's mixed-traffic stress (shared cache, mid-flight deadline
+# expiry, goroutine-leak
 # check, /metrics scraped under load) plus the live-corpus stress
 # (concurrent searchers, mutators, /watch pollers — every answer must
 # match some reachable corpus state).
-SMOKE_CPU := 1,2,4
 smoke:
 	$(GO) test -race -cpu $(SMOKE_CPU) -run 'TestParallelMatchesSequential|TestParallelBudget|TestConcurrentSearches|TestAnalysisCacheStress' \
 		./internal/plan/ ./internal/engine/ -count=1
 	$(GO) test -race -cpu $(SMOKE_CPU) -run 'TestSearchShardedMatchesUnsharded|TestSetBudgetGatesFanOutHelpers|TestMixedFanoutParallelBudget|TestDrainForwardsHelperPanic' \
 		./internal/corpus/ ./internal/sched/ -count=1
-	$(GO) test -race -cpu $(SMOKE_CPU) -run 'TestServerStress|TestCacheEquivalenceProperty|TestCacheSingleFlight|TestCachePanickingFillDoesNotPoisonKey|TestMutationStress|TestMetricsScrapeStress|TestFanoutShardedDifferential' \
+	$(GO) test -race -cpu $(SMOKE_CPU) -run 'TestCacheSingleFlight|TestCacheFollowerOutlivesFailedLeader|TestCachePanickingFillDoesNotPoisonKey|TestDetachedFollowerOutlivesLeader|TestDetachedPanickingFill' \
+		./internal/lru/ -count=2
+	$(GO) test -race -cpu $(SMOKE_CPU) -run 'TestServerStress|TestCacheEquivalenceProperty|TestMutationStress|TestMetricsScrapeStress|TestFanoutShardedDifferential' \
 		./internal/server/ -count=2
 
 # Coverage floors on the layers the serving path leans on. The floor is
 # a gate, not a target: new handlers and cache paths ship with tests.
 COVER_FLOOR := 80
 cover:
-	@for pkg in ./internal/server/ ./internal/plan/ ./internal/analysis/ ./internal/corpus/ ./internal/registry/; do \
+	@for pkg in ./internal/server/ ./internal/lru/ ./internal/plan/ ./internal/analysis/ ./internal/corpus/ ./internal/registry/; do \
 		pct="$$($(GO) test -count=1 -cover $$pkg | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')"; \
 		if [ -z "$$pct" ]; then echo "cover: no coverage output for $$pkg"; exit 1; fi; \
 		ok="$$(awk "BEGIN{print ($$pct >= $(COVER_FLOOR)) ? 1 : 0}")"; \

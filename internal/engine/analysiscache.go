@@ -1,16 +1,11 @@
 // Memoized profile/query analysis. The Section 5 analyses and the vet
-// suite are pure functions of the profile (and query), so a warm server
-// should never pay for re-analysis on the request path: verdicts are
-// cached under the profile fingerprint (plus the canonical query string
-// for query-scoped work), single-flight like the result cache, and the
-// stored artifacts (encoded query, applied-rule list, diagnostics) are
-// shared copy-on-write — every consumer treats them as immutable.
-//
-// Unlike the serving layer's ResultCache, analysis *errors* are cached
-// inside the verdict values: an ambiguous profile is deterministically
-// ambiguous, so recomputing the rejection per request would defeat the
-// cache. The only error do() itself can return is the caller's context
-// expiring while a fill is in flight.
+// suite are pure functions of the profile (and query), so verdicts are
+// cached under the profile fingerprint (plus the canonical query for
+// query-scoped work) and their artifacts (encoded query, applied-rule
+// list, diagnostics) are shared copy-on-write. Unlike the result cache,
+// analysis *rejections* are cached inside the verdicts: an ambiguous
+// profile is deterministically ambiguous. A lookup fails only when the
+// caller's context expires mid-fill or the fill panicked.
 package engine
 
 import (
@@ -18,12 +13,24 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"maps"
 	"sync"
 
 	"repro/internal/analysis"
+	"repro/internal/lru"
 	"repro/internal/profile"
 	"repro/internal/tpq"
 )
+
+// ambiguityErr is the Section 5.2 gate: the Search-blocking rejection of
+// a profile whose VORs are ambiguous under priorities, or nil.
+func ambiguityErr(p *profile.Profile) error {
+	rep := analysis.DetectAmbiguityPrioritized(p.VORs)
+	if !rep.Ambiguous {
+		return nil
+	}
+	return fmt.Errorf("engine: ambiguous value-based ordering rules (cycle %v): %s", rep.Cycle, rep.Suggestion)
+}
 
 // ProfileFingerprint hashes a profile's canonical serialization; equal
 // fingerprints mean the profiles analyze (and rank) identically. The
@@ -65,8 +72,8 @@ type QueryVerdict struct {
 // per-diagnostic-class counts observed by fills — the source for the
 // /metrics counters.
 type AnalysisCacheStats struct {
-	Hits, Misses, Coalesced uint64
-	Evictions               uint64
+	Hits, Misses, Coalesced int64
+	Evictions               int64
 	Entries, Capacity       int
 	// Diagnostics maps check ID -> number of diagnostics produced by
 	// analysis fills (each unique profile/query analyzed counts once,
@@ -74,59 +81,32 @@ type AnalysisCacheStats struct {
 	Diagnostics map[string]uint64
 }
 
-// AnalysisCache memoizes ProfileVerdict and QueryVerdict values under an
-// LRU with single-flight fills.
+// AnalysisCache memoizes ProfileVerdict and QueryVerdict values in one
+// detached-fill lru.Cache: the fill runs detached from the triggering
+// request's context, so a follower outlives a cancelled leader.
 type AnalysisCache struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[string]*acEntry
-	head     *acEntry // most recently used
-	tail     *acEntry // least recently used
-	inflight map[string]*acCall
+	verdicts *lru.Cache[any]
 
-	hits, misses, coalesced, evictions uint64
-	diagCounts                         map[string]uint64
-}
-
-type acEntry struct {
-	key        string
-	val        any
-	prev, next *acEntry
-}
-
-type acCall struct {
-	done chan struct{}
-	val  any
+	mu         sync.Mutex // guards diagCounts
+	diagCounts map[string]uint64
 }
 
 // NewAnalysisCache returns a cache holding up to capacity verdicts
 // (minimum 2: a profile verdict and one query verdict).
 func NewAnalysisCache(capacity int) *AnalysisCache {
-	if capacity < 2 {
-		capacity = 2
-	}
 	return &AnalysisCache{
-		capacity:   capacity,
-		entries:    make(map[string]*acEntry),
-		inflight:   make(map[string]*acCall),
+		verdicts:   lru.NewDetached[any](max(capacity, 2)),
 		diagCounts: make(map[string]uint64),
 	}
 }
 
-// ProfileVerdict returns the memoized profile-scoped analysis of p. The
-// error is non-nil only when ctx expires while another goroutine's fill
-// is still running; analysis rejections live in the verdict itself.
+// ProfileVerdict returns the memoized profile-scoped analysis of p.
 func (c *AnalysisCache) ProfileVerdict(ctx context.Context, p *profile.Profile) (*ProfileVerdict, error) {
 	fp := ProfileFingerprint(p)
-	v, err := c.do(ctx, "p\x1f"+fp, func() any {
-		pv := &ProfileVerdict{Fingerprint: fp, Diags: analysis.VetProfile(p)}
-		if rep := analysis.DetectAmbiguityPrioritized(p.VORs); rep.Ambiguous {
-			pv.AmbiguityErr = fmt.Errorf(
-				"engine: ambiguous value-based ordering rules (cycle %v): %s",
-				rep.Cycle, rep.Suggestion)
-		}
-		c.countDiags(pv.Diags)
-		return pv
+	v, _, err := c.verdicts.Do(ctx, "p\x1f"+fp, func() (any, error) {
+		pv := &ProfileVerdict{Fingerprint: fp, Diags: analysis.VetProfile(p), AmbiguityErr: ambiguityErr(p)}
+		c.RecordDiagnostics(pv.Diags)
+		return pv, nil
 	})
 	if err != nil {
 		return nil, err
@@ -138,11 +118,11 @@ func (c *AnalysisCache) ProfileVerdict(ctx context.Context, p *profile.Profile) 
 // single-plan flock encoding plus query-scoped diagnostics.
 func (c *AnalysisCache) QueryVerdict(ctx context.Context, p *profile.Profile, q *tpq.Query) (*QueryVerdict, error) {
 	key := "q\x1f" + ProfileFingerprint(p) + "\x1f" + q.String()
-	v, err := c.do(ctx, key, func() any {
+	v, _, err := c.verdicts.Do(ctx, key, func() (any, error) {
 		qv := &QueryVerdict{Diags: analysis.VetQuery(p, q)}
 		qv.Encoded, qv.Applied, qv.ConflictErr = analysis.EncodeFlock(p.SRs, q)
-		c.countDiags(qv.Diags)
-		return qv
+		c.RecordDiagnostics(qv.Diags)
+		return qv, nil
 	})
 	if err != nil {
 		return nil, err
@@ -150,117 +130,11 @@ func (c *AnalysisCache) QueryVerdict(ctx context.Context, p *profile.Profile, q 
 	return v.(*QueryVerdict), nil
 }
 
-// do is the single-flight LRU lookup. The fill runs in its own goroutine
-// detached from ctx, so a follower outlives a cancelled leader: whoever
-// triggered the fill giving up does not abort it, and every waiter with
-// a live context still receives the value.
-func (c *AnalysisCache) do(ctx context.Context, key string, fill func() any) (any, error) {
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.hits++
-		c.touch(e)
-		v := e.val
-		c.mu.Unlock()
-		return v, nil
-	}
-	if call, ok := c.inflight[key]; ok {
-		c.coalesced++
-		c.mu.Unlock()
-		select {
-		case <-call.done:
-			return call.val, nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	call := &acCall{done: make(chan struct{})}
-	c.inflight[key] = call
-	c.misses++
-	c.mu.Unlock()
-
-	//pimento:allow budgetedgo single-flight fill: at most one detached goroutine per missing key (bounded by the inflight map), so duplicate waiters share it instead of multiplying work
-	go func() {
-		call.val = fill()
-		c.mu.Lock()
-		c.insert(key, call.val)
-		delete(c.inflight, key)
-		c.mu.Unlock()
-		close(call.done)
-	}()
-
-	select {
-	case <-call.done:
-		return call.val, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// touch moves e to the MRU position. Caller holds mu.
-func (c *AnalysisCache) touch(e *acEntry) {
-	if c.head == e {
-		return
-	}
-	// unlink
-	if e.prev != nil {
-		e.prev.next = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	}
-	if c.tail == e {
-		c.tail = e.prev
-	}
-	// relink at head
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-// insert stores a new entry at MRU, evicting LRU past capacity. Caller
-// holds mu.
-func (c *AnalysisCache) insert(key string, val any) {
-	if e, ok := c.entries[key]; ok {
-		e.val = val
-		c.touch(e)
-		return
-	}
-	e := &acEntry{key: key, val: val}
-	c.entries[key] = e
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-	for len(c.entries) > c.capacity && c.tail != nil {
-		victim := c.tail
-		c.tail = victim.prev
-		if c.tail != nil {
-			c.tail.next = nil
-		} else {
-			c.head = nil
-		}
-		delete(c.entries, victim.key)
-		c.evictions++
-	}
-}
-
-// RecordDiagnostics folds externally-produced diagnostics into the
-// per-class counters — the serving layer uses it for findings that
-// never reach a fill (e.g. a duplicate-identifier rejection raised
+// RecordDiagnostics folds diagnostics into the per-class counters. Fills
+// call it once per analysis; the serving layer also uses it for findings
+// that never reach a fill (e.g. a duplicate-identifier rejection raised
 // during profile parsing, before analysis can run).
-func (c *AnalysisCache) RecordDiagnostics(ds []analysis.Diagnostic) { c.countDiags(ds) }
-
-func (c *AnalysisCache) countDiags(ds []analysis.Diagnostic) {
+func (c *AnalysisCache) RecordDiagnostics(ds []analysis.Diagnostic) {
 	c.mu.Lock()
 	for _, d := range ds {
 		c.diagCounts[d.ID]++
@@ -270,19 +144,8 @@ func (c *AnalysisCache) countDiags(ds []analysis.Diagnostic) {
 
 // Stats snapshots the counters. The Diagnostics map is a copy.
 func (c *AnalysisCache) Stats() AnalysisCacheStats {
+	st := c.verdicts.Stats()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	diags := make(map[string]uint64, len(c.diagCounts))
-	for k, v := range c.diagCounts {
-		diags[k] = v
-	}
-	return AnalysisCacheStats{
-		Hits:        c.hits,
-		Misses:      c.misses,
-		Coalesced:   c.coalesced,
-		Evictions:   c.evictions,
-		Entries:     len(c.entries),
-		Capacity:    c.capacity,
-		Diagnostics: diags,
-	}
+	return AnalysisCacheStats{st.Hits, st.Misses, st.Coalesced, st.Evictions, st.Entries, st.Capacity, maps.Clone(c.diagCounts)}
 }

@@ -133,66 +133,6 @@ func TestAnalysisCacheEviction(t *testing.T) {
 	}
 }
 
-// TestAnalysisCacheFollowerOutlivesLeader: the goroutine that triggers a
-// fill cancelling its context must not abort the fill — a later waiter
-// still receives the value.
-func TestAnalysisCacheFollowerOutlivesLeader(t *testing.T) {
-	c := NewAnalysisCache(4)
-	started := make(chan struct{})
-	release := make(chan struct{})
-
-	leaderCtx, cancel := context.WithCancel(context.Background())
-	leaderErr := make(chan error, 1)
-	go func() {
-		_, err := c.do(leaderCtx, "k", func() any {
-			close(started)
-			<-release
-			return "value"
-		})
-		leaderErr <- err
-	}()
-	<-started
-	cancel() // leader gives up mid-fill
-
-	if err := <-leaderErr; err != context.Canceled {
-		t.Fatalf("leader error = %v, want context.Canceled", err)
-	}
-
-	// Follower joins the (still running) fill with a live context.
-	followerDone := make(chan any, 1)
-	go func() {
-		v, err := c.do(context.Background(), "k", func() any {
-			t.Error("follower must coalesce, not refill")
-			return nil
-		})
-		if err != nil {
-			t.Error(err)
-		}
-		followerDone <- v
-	}()
-
-	// Give the follower time to register as coalesced, then finish the
-	// fill.
-	deadline := time.Now().Add(2 * time.Second)
-	for c.Stats().Coalesced == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("follower never coalesced")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-
-	if v := <-followerDone; v != "value" {
-		t.Fatalf("follower got %v", v)
-	}
-	if _, err := c.do(context.Background(), "k", func() any {
-		t.Error("value must be cached after the fill")
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSearchUsesAnalysisCache: a cached engine returns the same results
 // and the same rejections as the inline path, and repeat searches hit.
 func TestSearchUsesAnalysisCache(t *testing.T) {

@@ -156,7 +156,7 @@ type Response struct {
 	// per request are noise next to plan execution.
 	Trace []metrics.Span
 	// Cached is true when this response was served from a result cache
-	// (see internal/server.ResultCache) instead of a fresh execution.
+	// (see internal/lru) instead of a fresh execution.
 	Cached bool
 }
 
@@ -193,10 +193,8 @@ func (e *Engine) SearchContext(ctx context.Context, req Request) (*Response, err
 	if req.Profile != nil {
 		endAnalyze := tr.Start("analyze")
 		if e.ac != nil && !req.LiteralRewrite {
-			// Memoized path: the ambiguity gate, flock encoding and vet
-			// diagnostics come from the shared analysis cache; only the
-			// first request per profile (and per profile+query) pays for
-			// analysis.
+			// Memoized path: only the first request per profile (and per
+			// profile+query) pays for analysis.
 			pv, err := e.ac.ProfileVerdict(ctx, req.Profile)
 			if err != nil {
 				return nil, err
@@ -214,10 +212,8 @@ func (e *Engine) SearchContext(ctx context.Context, req Request) (*Response, err
 			}
 			q, applied = qv.Encoded, qv.Applied
 		} else {
-			if rep := analysis.DetectAmbiguityPrioritized(req.Profile.VORs); rep.Ambiguous {
-				return nil, fmt.Errorf(
-					"engine: ambiguous value-based ordering rules (cycle %v): %s",
-					rep.Cycle, rep.Suggestion)
+			if err := ambiguityErr(req.Profile); err != nil {
+				return nil, err
 			}
 			if req.LiteralRewrite {
 				return e.literalFlockSearch(ctx, req, k, strat, start)

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/corpus"
+	"repro/internal/lru"
 )
 
 // newFanoutServer builds a server over enough small documents that
@@ -231,6 +232,7 @@ func TestClassifySearchErrors(t *testing.T) {
 		{context.DeadlineExceeded, http.StatusGatewayTimeout, "timeout"},
 		{context.Canceled, 499, "canceled"},
 		{errors.New("plain engine failure"), http.StatusInternalServerError, "engine"},
+		{fmt.Errorf("engine: %w", &lru.PanicError{Value: "boom"}), http.StatusInternalServerError, "internal"},
 	}
 	for _, tc := range cases {
 		if st, kind := classifySearchError(tc.err); st != tc.status || kind != tc.kind {

@@ -397,9 +397,9 @@ func (m *serverMetrics) syncGauges(docs int, gen uint64, cs CacheStats, as engin
 	m.cacheEvictions.Store(cs.Evictions)
 	m.cacheEntries.Set(int64(cs.Entries))
 	m.cacheCapacity.Set(int64(cs.Capacity))
-	m.analysisRequests["hit"].Store(int64(as.Hits))
-	m.analysisRequests["miss"].Store(int64(as.Misses))
-	m.analysisRequests["coalesced"].Store(int64(as.Coalesced))
+	m.analysisRequests["hit"].Store(as.Hits)
+	m.analysisRequests["miss"].Store(as.Misses)
+	m.analysisRequests["coalesced"].Store(as.Coalesced)
 	m.analysisEntries.Set(int64(as.Entries))
 	for id, n := range as.Diagnostics {
 		if c, ok := m.diagnostics[id]; ok {

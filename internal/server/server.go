@@ -1,19 +1,25 @@
 // Package server is PIMENTO's query serving layer: an HTTP JSON API
 // over a registry of indexed documents, with per-request deadlines
 // plumbed down into plan-operator loops, an LRU result cache with
-// single-flight admission, and per-endpoint counters.
+// single-flight admission (internal/lru), and per-endpoint counters.
 //
 // Endpoints:
 //
 //	POST   /search       — personalized search over one document or a
 //	                       fan-out across the whole registry (doc "" or "*")
 //	POST   /explain      — the Section 5 static analyses for (query, profile)
+//	POST   /lint         — the vet suite's diagnostics for a profile [+ query]
+//	PUT    /profiles/{name}    — register a named profile (vetted on write)
+//	GET    /profiles/{name}    — a named profile's body and fingerprint
+//	DELETE /profiles/{name}    — unbind a named profile
+//	GET    /profiles     — list profile bindings + distinct-body count
 //	PUT    /docs/{name}  — add or replace a document (live corpus mutation)
 //	DELETE /docs/{name}  — remove a document
 //	GET    /docs         — list documents + corpus generation
 //	GET    /watch        — long-poll feed of corpus mutations
 //	GET    /healthz      — liveness plus document count
 //	GET    /statsz       — request/cache/timeout counters
+//	GET    /metrics      — Prometheus text exposition of the same counters
 //
 // See DESIGN.md §10 for the cache key anatomy, the cancellation
 // checkpoints and the single-flight semantics, and §15 for the
@@ -35,6 +41,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/corpus"
 	"repro/internal/engine"
+	"repro/internal/lru"
 	"repro/internal/metrics"
 	"repro/internal/plan"
 	"repro/internal/profile"
@@ -132,7 +139,7 @@ type Server struct {
 	mutMu sync.Mutex
 	watch *watchHub
 
-	cache    *ResultCache
+	cache    *lru.Cache[*cachedSearch] // inline fill: admission and the deadline run inside it
 	analysis *engine.AnalysisCache
 	// profiles is the named-profile store: fingerprint-deduplicated,
 	// vetted at registration through the shared analysis cache.
@@ -208,7 +215,7 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		reg:      corpus.New(cfg.Pipeline),
 		watch:    newWatchHub(cfg.WatchBuffer),
-		cache:    NewResultCache(cfg.CacheSize),
+		cache:    lru.New[*cachedSearch](cfg.CacheSize),
 		analysis: engine.NewAnalysisCache(cfg.AnalysisCacheSize),
 		metrics:  newServerMetrics(),
 	}
@@ -291,7 +298,7 @@ func (s *Server) AddXML(name, src string) error {
 func (s *Server) Docs() []string { return s.reg.Names() }
 
 // Cache exposes the result cache (for stats and tests).
-func (s *Server) Cache() *ResultCache { return s.cache }
+func (s *Server) Cache() *lru.Cache[*cachedSearch] { return s.cache }
 
 // Pool exposes the admission scheduler (nil when disabled), for stats
 // and tests.
@@ -476,17 +483,17 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r, sreq.TimeoutMS)
 	defer cancel()
 
-	fill := func() (any, error) { return s.execute(ctx, snap, &sreq, req) }
+	fill := func() (*cachedSearch, error) { return s.execute(ctx, snap, &sreq, req) }
 
-	var payload any
+	var cs *cachedSearch
 	outcome := Miss
 	if sreq.NoCache {
 		// Bypass, not a miss: the cache is neither consulted nor filled,
 		// so no X-Cache header is set.
-		payload, err = fill()
+		cs, err = fill()
 	} else {
 		key, tags := s.cacheKey(snap, &sreq, req)
-		payload, outcome, err = s.cache.DoTagged(ctx, key, tags, fill)
+		cs, outcome, err = s.cache.DoTagged(ctx, key, tags, fill)
 		if err == nil {
 			w.Header().Set("X-Cache", strings.ToUpper(outcome.String()))
 		}
@@ -498,7 +505,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		// error and retry as fresh leaders).
 		var unc *uncacheableError
 		if errors.As(err, &unc) {
-			payload, outcome, err = unc.cs, Miss, nil
+			cs, outcome, err = unc.cs, Miss, nil
 		}
 	}
 	if err != nil {
@@ -510,7 +517,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// this request's serve time (a past bug replayed the leader's
 	// execution time on HITs — regression: TestCacheHitElapsed), and
 	// cache_age_ms says how stale a hit is.
-	cs := payload.(*cachedSearch)
 	var ageMS int64
 	if outcome == Hit {
 		ageMS = time.Since(cs.storedAt).Milliseconds()
@@ -1158,14 +1164,15 @@ func (e *uncacheableError) Error() string { return "degraded fan-out result (not
 
 // classifySearchError maps an execution error onto its HTTP status and
 // error kind: deadline → 504, client cancel → 499 (nginx's
-// convention), client mistakes → 400, anything else the engine
-// reports → 500. Classification is separated from counting so /statsz
-// and /metrics agree on one mapping (regression:
-// TestErrorClassCounters).
+// convention), client mistakes → 400, a recovered fill panic → 500
+// internal, anything else the engine reports → 500 engine.
+// Classification is separated from counting so /statsz and /metrics
+// agree on one mapping (regression: TestErrorClassCounters).
 func classifySearchError(err error) (status int, kind string) {
 	var (
 		bad *badRequestError
 		nf  *notFoundError
+		pe  *lru.PanicError
 	)
 	switch {
 	case errors.Is(err, sched.ErrQueueFull):
@@ -1185,6 +1192,9 @@ func classifySearchError(err error) (status int, kind string) {
 		return http.StatusBadRequest, "parse"
 	case errors.As(err, &nf):
 		return http.StatusNotFound, "not_found"
+	case errors.As(err, &pe):
+		// A recovered analysis-fill panic: this request fails alone.
+		return http.StatusInternalServerError, "internal"
 	default:
 		return http.StatusInternalServerError, "engine"
 	}

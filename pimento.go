@@ -35,9 +35,9 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/engine"
 	"repro/internal/index"
+	"repro/internal/lru"
 	"repro/internal/plan"
 	"repro/internal/profile"
-	"repro/internal/server"
 	"repro/internal/text"
 	"repro/internal/tpq"
 	"repro/internal/xmldoc"
@@ -115,7 +115,7 @@ type Engine struct {
 	e *engine.Engine
 	// cache, when non-nil (WithCache), answers repeated identical
 	// searches from an LRU with single-flight deduplication.
-	cache *server.ResultCache
+	cache *lru.Cache[*engine.Response]
 }
 
 // Options configure Open* and Search.
@@ -256,24 +256,23 @@ func Open(r io.Reader, opts ...Option) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	return wrap(e, o), nil
+}
+
+// wrap applies the engine-level options: the scorer, a per-engine
+// analysis-verdict cache (verdicts are small, so repeated searches with
+// one profile skip the Section 5 analyses and flock encoding), and the
+// optional WithCache result cache.
+func wrap(e *engine.Engine, o options) *Engine {
 	if o.scorer != nil {
 		e.Index().SetScorer(o.scorer)
 	}
-	e.UseAnalysisCache(engine.NewAnalysisCache(analysisCacheSize))
-	return &Engine{e: e, cache: newCache(o)}, nil
-}
-
-// analysisCacheSize is the per-engine analysis-verdict cache capacity:
-// profile/query analysis verdicts are small, so repeated searches with
-// the same profile skip the Section 5 analyses and flock encoding.
-const analysisCacheSize = 128
-
-// newCache builds the optional engine-level result cache.
-func newCache(o options) *server.ResultCache {
-	if o.cacheSize <= 0 {
-		return nil
+	e.UseAnalysisCache(engine.NewAnalysisCache(128))
+	w := &Engine{e: e}
+	if o.cacheSize > 0 {
+		w.cache = lru.New[*engine.Response](o.cacheSize)
 	}
-	return server.NewResultCache(o.cacheSize)
+	return w
 }
 
 // OpenString indexes an XML document held in a string.
@@ -288,12 +287,7 @@ func ParseDocument(src string) (*Document, error) { return xmldoc.ParseString(sr
 // OpenDocument indexes an already-parsed document.
 func OpenDocument(doc *Document, opts ...Option) *Engine {
 	o := collect(opts)
-	e := engine.New(doc, o.pipeline)
-	if o.scorer != nil {
-		e.Index().SetScorer(o.scorer)
-	}
-	e.UseAnalysisCache(engine.NewAnalysisCache(analysisCacheSize))
-	return &Engine{e: e, cache: newCache(o)}
+	return wrap(engine.New(doc, o.pipeline), o)
 }
 
 // Document returns the engine's parsed document.
@@ -333,14 +327,13 @@ func (e *Engine) SearchContext(ctx context.Context, q *Query, prof *Profile, opt
 		return e.e.SearchContext(ctx, req)
 	}
 	key := req.CacheKey(e.e.Fingerprint(), e.e.ResolvedParallelism(&req))
-	v, outcome, err := e.cache.Do(ctx, key, func() (any, error) {
+	resp, outcome, err := e.cache.Do(ctx, key, func() (*engine.Response, error) {
 		return e.e.SearchContext(ctx, req)
 	})
 	if err != nil {
 		return nil, err
 	}
-	resp := v.(*engine.Response)
-	if outcome != server.Miss {
+	if outcome != lru.Miss {
 		hit := *resp // shallow copy so the stored response stays unmarked
 		hit.Cached = true
 		return &hit, nil

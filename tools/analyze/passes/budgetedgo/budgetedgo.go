@@ -29,6 +29,7 @@ import (
 var scopePkgs = []string{
 	"internal/corpus",
 	"internal/engine",
+	"internal/lru",
 	"internal/plan",
 	"internal/server",
 	"internal/registry",

@@ -22,6 +22,7 @@ import (
 var ServingPkgs = []string{
 	"internal/corpus",
 	"internal/engine",
+	"internal/lru",
 	"internal/plan",
 	"internal/server",
 	"internal/registry",
