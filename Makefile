@@ -70,9 +70,10 @@ race:
 # panic contracts in both fill modes (internal/lru), and the serving
 # layer's mixed-traffic stress (shared cache, mid-flight deadline
 # expiry, goroutine-leak
-# check, /metrics scraped under load) plus the live-corpus stress
+# check, /metrics scraped under load), the live-corpus stress
 # (concurrent searchers, mutators, /watch pollers — every answer must
-# match some reachable corpus state).
+# match some reachable corpus state), and the 1-in-64 operator timing
+# sample under concurrent clients.
 smoke:
 	$(GO) test -race -cpu $(SMOKE_CPU) -run 'TestParallelMatchesSequential|TestParallelBudget|TestConcurrentSearches|TestAnalysisCacheStress' \
 		./internal/plan/ ./internal/engine/ -count=1
@@ -80,7 +81,7 @@ smoke:
 		./internal/corpus/ ./internal/sched/ -count=1
 	$(GO) test -race -cpu $(SMOKE_CPU) -run 'TestCacheSingleFlight|TestCacheFollowerOutlivesFailedLeader|TestCachePanickingFillDoesNotPoisonKey|TestDetachedFollowerOutlivesLeader|TestDetachedPanickingFill' \
 		./internal/lru/ -count=2
-	$(GO) test -race -cpu $(SMOKE_CPU) -run 'TestServerStress|TestCacheEquivalenceProperty|TestMutationStress|TestMetricsScrapeStress|TestFanoutShardedDifferential' \
+	$(GO) test -race -cpu $(SMOKE_CPU) -run 'TestServerStress|TestCacheEquivalenceProperty|TestMutationStress|TestMetricsScrapeStress|TestFanoutShardedDifferential|TestOperatorTimingSampled' \
 		./internal/server/ -count=2
 
 # Coverage floors on the layers the serving path leans on. The floor is

@@ -11,8 +11,8 @@ import "time"
 //
 // The wrapper costs two clock reads per Next call, so it is opt-in:
 // plan compilation inserts it only when Options.Timing is set (the
-// serving layer always sets it; library callers and benchmarks default
-// to the bare chain).
+// serving layer sets it on one fresh execution in 64; library callers
+// and benchmarks default to the bare chain).
 type timedOp struct {
 	inner Operator
 	wall  int64

@@ -6,7 +6,6 @@ package corpus
 
 import (
 	"context"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -109,15 +108,5 @@ func TestSetBudgetGatesFanOutHelpers(t *testing.T) {
 	}
 	if b.acquired.Load() != b.released.Load() {
 		t.Errorf("budget leak: %d acquired, %d released", b.acquired.Load(), b.released.Load())
-	}
-}
-
-func TestClip(t *testing.T) {
-	if got := clip("short", 90); got != "short" {
-		t.Errorf("clip(short) = %q", got)
-	}
-	long := strings.Repeat("x", 120)
-	if got := clip(long, 90); len(got) <= 90 || !strings.HasSuffix(got, "…") {
-		t.Errorf("clip(long) = %q", got)
 	}
 }

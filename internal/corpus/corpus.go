@@ -425,15 +425,8 @@ func (s *Snapshot) materialize(hits []docHit, applied []string, docsSearched int
 			Path:    doc.Path(h.a.Node),
 			S:       h.a.S,
 			K:       h.a.K,
-			Snippet: clip(doc.TextContent(h.a.Node), 90),
+			Snippet: doc.Snippet(h.a.Node, 90),
 		})
 	}
 	return resp
-}
-
-func clip(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n] + "…"
 }

@@ -9,10 +9,8 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"time"
-	"unicode/utf8"
 
 	"repro/internal/algebra"
 	"repro/internal/analysis"
@@ -117,8 +115,9 @@ type Request struct {
 	ThesaurusWeight float64
 	// Timing enables per-operator wall-time collection (OpStats.WallNS)
 	// at the cost of two clock reads per operator pull. The serving
-	// layer sets it so /metrics and the slow-query log can attribute
-	// time inside the plan; library callers default to the bare chain.
+	// layer sets it on one fresh execution in 64, so /metrics and the
+	// slow-query log can attribute time inside the plan without every
+	// request paying; library callers default to the bare chain.
 	Timing bool
 }
 
@@ -369,27 +368,10 @@ func (e *Engine) materialize(answers []algebra.Answer) []Result {
 			Path:    e.doc.Path(a.Node),
 			S:       a.S,
 			K:       a.K,
-			Snippet: snippet(e.doc.TextContent(a.Node), 90),
+			Snippet: e.doc.Snippet(a.Node, 90),
 		}
 	}
 	return out
-}
-
-func snippet(s string, max int) string {
-	s = strings.Join(strings.Fields(s), " ")
-	if len(s) <= max {
-		return s
-	}
-	// Back the cut up to a rune boundary: s[:max] may split a multi-byte
-	// UTF-8 sequence and emit an invalid string.
-	for max > 0 && !utf8.RuneStart(s[max]) {
-		max--
-	}
-	cut := s[:max]
-	if i := strings.LastIndexByte(cut, ' '); i > max/2 {
-		cut = cut[:i]
-	}
-	return cut + "…"
 }
 
 // AnalyzeProfile runs the Section 5 static analyses for a profile against

@@ -241,20 +241,6 @@ func TestFromXML(t *testing.T) {
 	}
 }
 
-func TestSnippetTruncation(t *testing.T) {
-	long := strings.Repeat("word ", 50)
-	s := snippet(long, 40)
-	if len(s) > 45 {
-		t.Errorf("snippet too long: %q", s)
-	}
-	if !strings.HasSuffix(s, "…") {
-		t.Errorf("no ellipsis: %q", s)
-	}
-	if got := snippet("short", 40); got != "short" {
-		t.Errorf("short text mangled: %q", got)
-	}
-}
-
 func TestResultPaths(t *testing.T) {
 	e := newEngine(t)
 	resp, err := e.Search(Request{Query: tpq.MustParse(`//car[color = "red"]`), K: 5})

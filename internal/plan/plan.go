@@ -145,8 +145,9 @@ type Options struct {
 	Context context.Context
 	// Timing wraps every operator so Stats() report per-operator wall
 	// time (OpStats.WallNS) at the cost of two clock reads per pull.
-	// The serving layer and the Fig. 6/7 harnesses enable it; the bare
-	// chain stays the default for library callers and benchmarks.
+	// The serving layer (on one fresh execution in 64) and the Fig. 6/7
+	// harnesses enable it; the bare chain stays the default for library
+	// callers and benchmarks.
 	Timing bool
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -336,6 +337,103 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 	if got := s.metrics.slowDropped.Value(); got != 0 {
 		t.Errorf("pimento_slow_queries_dropped_total = %d, want 0", got)
+	}
+}
+
+// TestOperatorTimingSampled pins the 1-in-timingStride operator timing
+// sample under concurrency: of 132 fresh executions exactly executions
+// 1, 65 and 129 are timed, the answer counters still count all 132,
+// and the wall counter carries only stride-scaled samples.
+func TestOperatorTimingSampled(t *testing.T) {
+	var mu sync.Mutex
+	var lines []string
+	capture := func(format string, args ...any) {
+		mu.Lock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	s, ts := newTestServer(t, Config{
+		SlowQueryThreshold: time.Nanosecond, // every execution is logged
+		SlowQueryLog:       capture,
+	})
+	sreq := SearchRequest{Doc: "cars", Query: carsQuery, Profile: carsProfile, K: 3, Access: "scan", NoCache: true}
+	body, err := json.Marshal(sreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clients, perClient = 4, 33
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				resp, err := ts.Client().Post(ts.URL+"/search", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Errorf("POST /search: %v", err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("POST /search: status %d", resp.StatusCode)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	s.Close() // flush the logging goroutine
+	const n = clients * perClient
+
+	// The log channel holds 64 entries: a drop would make the line
+	// counts below meaningless, so rule it out first.
+	if got := s.metrics.slowDropped.Value(); got != 0 {
+		t.Fatalf("pimento_slow_queries_dropped_total = %d, want 0", got)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(lines) != n {
+		t.Fatalf("slow-query log has %d entries, want %d", len(lines), n)
+	}
+	timed := 0
+	for _, line := range lines {
+		if !strings.Contains(line, "in=") {
+			t.Errorf("slow-query line without operator counts:\n%s", line)
+		}
+		if strings.Contains(line, "wall=") {
+			timed++
+		}
+	}
+	if want := (n + timingStride - 1) / timingStride; timed != want {
+		t.Errorf("%d of %d executions timed, want %d", timed, n, want)
+	}
+
+	// One untimed execution straight through the engine gives the scan's
+	// per-execution input count, without touching the server's counters.
+	snap := s.reg.Snapshot()
+	req, _, err := s.buildEngineRequest(snap, &sreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, _ := snap.Entry("cars")
+	resp, err := s.engineForEntry(entry).SearchContext(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scanIn int64
+	for _, st := range resp.Stats {
+		if st.Kind() == "scan" {
+			scanIn += int64(st.In)
+		}
+	}
+	if scanIn == 0 {
+		t.Fatal("scan consumed no input; the counter check below would be vacuous")
+	}
+	if got := s.metrics.opAnswers[[2]string{"scan", "in"}].Value(); got != n*scanIn {
+		t.Errorf("pimento_plan_operator_answers_total{op=scan,dir=in} = %d, want %d executions x %d", got, n, scanIn)
+	}
+	if got := s.metrics.opWall["scan"].Value(); got <= 0 || got%timingStride != 0 {
+		t.Errorf("pimento_plan_operator_wall_nanoseconds_total{op=scan} = %d, want a positive multiple of %d", got, timingStride)
 	}
 }
 

@@ -5,6 +5,11 @@
 // never blocks on the log sink. When the channel is full the entry is
 // dropped and counted (pimento_slow_queries_dropped_total) — a slow
 // log that backpressures the server would be worse than no log.
+//
+// Every line carries each operator's in/out/pruned counts. Per-operator
+// wall= appears only on lines from timed executions: the server times
+// one fresh single-document execution in 64 (see timingStride), so most
+// lines carry counts alone.
 package server
 
 import (

@@ -10,9 +10,12 @@
 package xmldoc
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // NodeID identifies a node inside a Document. IDs are dense indices into
@@ -222,6 +225,79 @@ func (d *Document) appendText(id NodeID, sb *strings.Builder) {
 			d.appendText(c, sb)
 		}
 	}
+}
+
+// Snippet returns a display excerpt of id's text content (max >= 0): the
+// whitespace-separated fields of the subtree's text nodes in document
+// order, joined by single spaces, cut to at most max bytes — backed up
+// to a rune boundary, then to the last space when one falls in the
+// second half — and marked with "…". The output is byte-identical to
+// folding and cutting TextContent(id), but the walk stops once the cut
+// is decided, so an answer high in the tree (the root is the whole
+// document) costs O(max) instead of O(subtree).
+func (d *Document) Snippet(id NodeID, max int) string {
+	// The cut reads b[max], so max+1 bytes of folded text decide it.
+	// Snippet-sized buffers stay on the stack; only the result is
+	// allocated.
+	var buf [128]byte
+	b := buf[:0]
+	if max >= len(buf) {
+		b = make([]byte, 0, max+1)
+	}
+	end := NodeID(d.nodes[id].End) // arena order is preorder
+	for i := id; i <= end && len(b) <= max; i++ {
+		if n := &d.nodes[i]; n.Kind == Text {
+			b = appendFields(b, n.Text, max+1)
+		}
+	}
+	if len(b) <= max {
+		return string(b)
+	}
+	// Back the cut up to a rune boundary: b[:max] may split a multi-byte
+	// UTF-8 sequence and emit an invalid string.
+	for max > 0 && !utf8.RuneStart(b[max]) {
+		max--
+	}
+	cut := b[:max]
+	if i := bytes.LastIndexByte(cut, ' '); i > max/2 {
+		cut = cut[:i]
+	}
+	return string(append(cut, "…"...))
+}
+
+// appendFields appends the fields of s, as strings.Fields splits them,
+// to b: each field is preceded by one space unless b is empty, so fields
+// of adjacent text nodes never merge. It stops once b holds at least
+// limit bytes.
+func appendFields(b []byte, s string, limit int) []byte {
+	for i := 0; i < len(s) && len(b) < limit; {
+		r, w := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, w = utf8.DecodeRuneInString(s[i:])
+		}
+		if unicode.IsSpace(r) {
+			i += w
+			continue
+		}
+		if len(b) > 0 {
+			b = append(b, ' ')
+		}
+		// Scan to the field's end, or only as far as limit needs.
+		j := i + w
+		for j < len(s) && len(b)+j-i < limit {
+			r, w = rune(s[j]), 1
+			if r >= utf8.RuneSelf {
+				r, w = utf8.DecodeRuneInString(s[j:])
+			}
+			if unicode.IsSpace(r) {
+				break
+			}
+			j += w
+		}
+		b = append(b, s[i:j]...)
+		i = j
+	}
+	return b
 }
 
 // TotalTextLen returns the total number of characters of text content in

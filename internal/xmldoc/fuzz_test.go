@@ -2,8 +2,9 @@ package xmldoc
 
 import "testing"
 
-// FuzzParseXML checks the XML front end never panics and that accepted
-// documents round-trip through the serializer.
+// FuzzParseXML checks the XML front end never panics, that accepted
+// documents round-trip through the serializer, and that every node's
+// bounded snippet matches the cut of its whole text content.
 func FuzzParseXML(f *testing.F) {
 	seeds := []string{
 		`<a/>`,
@@ -26,6 +27,7 @@ func FuzzParseXML(f *testing.F) {
 		if err := d.validate(); err != nil {
 			t.Fatalf("accepted document invalid: %v\nsrc: %q", err, src)
 		}
+		checkSnippets(t, d, 90)
 		d2, err := ParseString(d.XMLString())
 		if err != nil {
 			t.Fatalf("serializer output unparseable: %v\nsrc: %q\nout: %q", err, src, d.XMLString())
